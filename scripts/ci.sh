@@ -64,14 +64,15 @@ cmake -B build-ci-tsan -S . -DMINERGY_SANITIZE=thread
 cmake --build build-ci-tsan -j "$JOBS"
 run_labelled_tests build-ci-tsan serve obs overload ha par
 
-# Certified batch run: each circuit optimizes in its own subprocess and the
-# parent re-derives every verdict with opt::Certifier. minergy_batch exits
-# non-zero if any completed result is infeasible or uncertified, and
+# Certified batch run: every (circuit, optimizer) job runs in its own worker
+# subprocess under the service supervisor, and every answer is certified by
+# the shared solve path — the anneal's warm start included. minergy_batch
+# exits non-zero if any completed result is infeasible or uncertified, and
 # --verify-report re-checks the written report the way CI consumers would.
-step "certified batch run (s27, s298*)"
+step "certified batch run (s27, s298*; robust + anneal)"
 report=build-ci-release/ci_batch_report.json
 build-ci-release/tools/minergy_batch \
-  --circuits=s27,s298* --optimizers=robust \
+  --circuits=s27,s298* --optimizers=robust,anneal \
   --timeout=120 --retries=1 --report="$report"
 build-ci-release/tools/minergy_batch \
   --verify-report="$report" --min-circuits=2

@@ -152,8 +152,12 @@ std::uint64_t attempt_seed(const Job& job, int failed_attempt_index) {
     name_hash =
         (name_hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
   }
+  // 53 bits, so the seed survives JSON (numbers are doubles) and the
+  // event log exactly: the journaled seed is the seed the worker ran.
+  constexpr std::uint64_t kExactDoubleMask = (std::uint64_t{1} << 53) - 1;
   return util::hash_mix(job.seed ^ name_hash ^
-                        static_cast<std::uint64_t>(failed_attempt_index));
+                        static_cast<std::uint64_t>(failed_attempt_index)) &
+         kExactDoubleMask;
 }
 
 double unix_now() { return util::Clock::system().unix_monotone(); }

@@ -109,9 +109,9 @@ struct Job {
 std::string make_job_id();
 
 // The deterministic per-(circuit, attempt) seed schedule: attempt 0 runs the
-// submitted seed, retry k runs hash_mix(seed ^ fnv1a(circuit) ^ k) so a
-// retry is a genuinely different stochastic run (same scheme as
-// minergy_batch).
+// submitted seed, retry k runs the low 53 bits of
+// hash_mix(seed ^ fnv1a(circuit) ^ k) so a retry is a genuinely different
+// stochastic run whose seed round-trips exactly through the job JSON.
 std::uint64_t attempt_seed(const Job& job, int failed_attempt_index);
 
 // Unix-epoch seconds for backoff eligibility, shed windows and lease

@@ -63,8 +63,13 @@ Supervisor::Supervisor(SpoolQueue& queue, SupervisorOptions opts)
       breaker_(opts_.breaker),
       overload_(opts_.overload),
       lease_(queue.root(), opts_.lease) {
-  MINERGY_CHECK_MSG(!opts_.worker_binary.empty(),
-                    "SupervisorOptions.worker_binary is required");
+  if (opts_.worker_binary.empty()) {
+    // The real path, so the re-exec works however the tool was invoked.
+    char self[4096];
+    const ssize_t n = readlink("/proc/self/exe", self, sizeof self - 1);
+    MINERGY_CHECK_MSG(n > 0, "cannot resolve /proc/self/exe for workers");
+    opts_.worker_binary.assign(self, static_cast<std::size_t>(n));
+  }
   if (opts_.workers < 1) opts_.workers = 1;
   // The queue feeds the controller its sojourn/e2e signals and consults it
   // for the shed level; the controller lives as long as the supervisor,

@@ -38,7 +38,10 @@
 namespace minergy::serve {
 
 struct SupervisorOptions {
-  // Absolute path of the binary to exec for workers (minergy_served).
+  // Binary to exec for workers; it must answer `--worker` through
+  // run_worker_mode (serve/worker.h). Empty = this process's own
+  // executable, which is how minergy_served and minergy_batch re-exec
+  // themselves.
   std::string worker_binary;
   int workers = 2;                  // concurrent worker subprocesses
   // Evaluation threads inside each worker (forwarded as --threads=N;

@@ -2,26 +2,21 @@
 
 #include <chrono>
 #include <csignal>
-#include <filesystem>
+#include <cstdio>
 #include <thread>
 
-#include "activity/activity.h"
-#include "bench_suite/experiment.h"
 #include "bench_suite/iscas.h"
+#include "bench_suite/solve.h"
 #include "obs/metrics.h"
-#include "opt/annealing_optimizer.h"
-#include "opt/baseline_optimizer.h"
-#include "opt/certifier.h"
-#include "opt/evaluator.h"
-#include "opt/joint_optimizer.h"
-#include "opt/robust_optimizer.h"
 #include "io/checkpoint.h"
 #include "io/envelope.h"
 #include "serve/inject.h"
 #include "serve/lease.h"
+#include "serve/queue.h"
 #include "util/check.h"
 #include "util/guard.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace minergy::serve {
 
@@ -61,89 +56,43 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   }
   kill_point("worker.pre-run");
 
-  netlist::Netlist nl = bench_suite::make_circuit(job.circuit);
-  bench_suite::ExperimentConfig cfg;
-  cfg.clock_frequency = job.clock_frequency;
-  bool tc_scaled = false;
-  const double tc = bench_suite::choose_cycle_time(nl, cfg, &tc_scaled);
-
-  opt::EvalSettings settings;
-  settings.clock_frequency = 1.0 / tc;
-  activity::ActivityProfile profile;
-  profile.input_density = job.activity;
-  const opt::CircuitEvaluator eval(nl, cfg.tech, profile, settings);
-
   // Deadline propagation: the job's wall-clock budget becomes the
   // optimizer's watchdog, so running out of time yields a best-seen
   // truncated result instead of a SIGKILL from the supervisor.
-  util::WatchdogBudget budget;
-  if (job.deadline_seconds > 0.0) budget.wall_seconds = job.deadline_seconds;
-  budget.max_evaluations = job.max_evaluations;
+  bench_suite::SolveSpec spec;
+  spec.kind = job.optimizer;
+  spec.clock_frequency = job.clock_frequency;
+  spec.activity = job.activity;
+  if (job.deadline_seconds > 0.0) {
+    spec.budget.wall_seconds = job.deadline_seconds;
+  }
+  spec.budget.max_evaluations = job.max_evaluations;
   // Brownout: a degraded daemon buys latency with fidelity — shrink the
   // wall budget proportionally (1/2 per level) so cheap answers also land
   // sooner, not just cheaper.
-  if (brownout_level > 0 && budget.wall_seconds > 0.0) {
-    budget.wall_seconds /= static_cast<double>(1 << brownout_level);
+  if (brownout_level > 0 && spec.budget.wall_seconds > 0.0) {
+    spec.budget.wall_seconds /= static_cast<double>(1 << brownout_level);
   }
+  // The brownout ladder maps one-to-one onto the robust degradation chain:
+  // level 1 starts at the baseline tier, level 2 at max-drive. The result
+  // still certifies like any other — degraded answers are still answers.
+  spec.start_tier = brownout_level;
+  spec.seed = seed;
+  spec.anneal_moves = job.anneal_moves;
 
   // exists() checks every generation, so a torn newest snapshot still
   // enters the resume path and falls back to an older intact generation.
   const bool resuming =
       !checkpoint_path.empty() && io::Checkpoint::exists(checkpoint_path);
+  spec.checkpoint_path = checkpoint_path;
+  if (resuming) spec.resume_path = checkpoint_path;
 
-  opt::OptimizationResult result;
-  double skew_b = 0.95;
-  if (job.optimizer == "robust") {
-    opt::RobustOptions ropts;
-    ropts.joint.budget = budget;
-    ropts.baseline.budget = budget;
-    ropts.joint.checkpoint_path = checkpoint_path;
-    if (resuming) ropts.joint.resume_path = checkpoint_path;
-    // The brownout ladder maps one-to-one onto the degradation chain:
-    // level 1 starts at the baseline tier, level 2 at max-drive. The result
-    // still certifies like any other — degraded answers are still answers.
-    ropts.start_tier = brownout_level;
-    result = opt::RobustOptimizer(eval, ropts).run();
-    skew_b = ropts.joint.skew_b;
-  } else if (job.optimizer == "joint") {
-    opt::OptimizerOptions opts;
-    opts.budget = budget;
-    opts.checkpoint_path = checkpoint_path;
-    if (resuming) opts.resume_path = checkpoint_path;
-    result = opt::JointOptimizer(eval, opts).run();
-    skew_b = opts.skew_b;
-  } else if (job.optimizer == "baseline") {
-    opt::OptimizerOptions opts;
-    opts.budget = budget;
-    result = opt::BaselineOptimizer(eval, opts).run();
-    skew_b = opts.skew_b;
-  } else if (job.optimizer == "anneal") {
-    opt::AnnealingOptions aopts;
-    aopts.budget = budget;
-    aopts.seed = seed;
-    if (job.anneal_moves > 0) aopts.max_moves = job.anneal_moves;
-    aopts.checkpoint_path = checkpoint_path;
-    if (resuming) aopts.resume_path = checkpoint_path;
-    skew_b = aopts.skew_b;
-    // Warm-start from the baseline solution (the annealer's recommended
-    // seeding); a resumed run restores its mid-anneal state from the
-    // snapshot and the warm start only seeds the already-finished passes.
-    const opt::OptimizationResult warm =
-        opt::BaselineOptimizer(eval, {}).run();
-    result = opt::AnnealingOptimizer(eval, aopts)
-                 .run(warm.feasible ? warm.state : opt::CircuitState{});
-  } else {
-    write_error_envelope(job, result_path,
-                         "invalid-argument",
-                         "unknown optimizer '" + job.optimizer + "'");
-    return 0;
-  }
-
-  // Independent certification: no result reaches done/ on the optimizer's
-  // own say-so.
-  opt::CertifyOptions copts;
-  copts.skew_b = skew_b;
-  const opt::Certificate cert = opt::Certifier(eval, copts).certify(result);
+  // solve() certifies independently: no result reaches done/ on the
+  // optimizer's own say-so.
+  const bench_suite::Solved solved =
+      bench_suite::solve(bench_suite::make_circuit(job.circuit), spec);
+  const opt::OptimizationResult& result = solved.result;
+  const opt::Certificate& cert = solved.certificate;
 
   if (job.inject == "crash-pre-result") std::raise(SIGKILL);
   kill_point("worker.pre-result");
@@ -180,8 +129,8 @@ int run_worker_job(const Job& job, std::uint64_t seed,
   w.kv("static_energy", result.energy.static_energy);
   w.kv("dynamic_energy", result.energy.dynamic_energy);
   w.kv("critical_delay", result.critical_delay);
-  w.kv("cycle_time", tc);
-  w.kv("tc_scaled", tc_scaled);
+  w.kv("cycle_time", solved.cycle_time);
+  w.kv("tc_scaled", solved.tc_scaled);
   w.kv("circuit_evaluations", result.circuit_evaluations);
   w.kv("runtime_seconds", result.runtime_seconds);
   w.key("certificate");
@@ -207,6 +156,37 @@ int run_worker_job(const Job& job, std::uint64_t seed,
 } catch (const std::exception& e) {
   write_error_envelope(job, result_path, "error", e.what());
   return 0;
+}
+
+int run_worker_mode(const util::Cli& cli) {
+  // Evaluation parallelism for this job (forwarded by the supervisor's
+  // worker_threads; 0 = hardware concurrency).
+  util::set_global_threads(cli.get("threads", 0));
+  const std::string id = cli.get("job-id", std::string());
+  const std::string spool = cli.get("spool", std::string());
+  if (id.empty() || spool.empty()) {
+    std::fprintf(stderr, "worker: --spool and --job-id are required\n");
+    return 2;
+  }
+  const SpoolQueue queue(spool);
+  const std::string path = queue.job_path("running", id);
+  Job job;
+  std::uint64_t seed = 0;
+  try {
+    job = Job::from_json(io::read_artifact(path, kJobSchema), path);
+    // Parsed as an integer, never through a double: the seed the worker
+    // runs must be the seed the supervisor journaled.
+    seed = cli.has("attempt-seed")
+               ? std::stoull(cli.get("attempt-seed", std::string()))
+               : job.seed;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "worker: %s\n", e.what());
+    return 2;
+  }
+  return run_worker_job(job, seed, queue.result_path(id),
+                        queue.checkpoint_path(id),
+                        cli.get("brownout-level", 0),
+                        cli.get("lease-path", std::string()));
 }
 
 }  // namespace minergy::serve

@@ -1,18 +1,21 @@
 // In-process execution of one queued job (the worker side of the service).
 //
-// The daemon never optimizes in its own address space: each claimed job is
-// handed to a fresh subprocess (minergy_served --worker) that calls
-// run_worker_job() — the same subprocess-isolation discipline as
-// minergy_batch, so a crash, hang or NaN-storm in one netlist can only ever
-// cost one worker. The worker's entire observable output is ONE atomic
-// file: the result envelope (schema minergy.job_result.v1) dropped into
-// results/<id>.json. The parent judges the envelope; the worker's exit code
-// only distinguishes "envelope written" (0) from "died before writing one".
+// The supervisor never optimizes in its own address space: each claimed job
+// is handed to a fresh subprocess (minergy_served --worker or
+// minergy_batch --worker, both answering through run_worker_mode()) that
+// calls run_worker_job(), so a crash, hang or NaN-storm in one netlist can
+// only ever cost one worker. The solve itself is bench_suite::solve(), the
+// same path minergy_report takes. The worker's entire observable output is
+// ONE atomic file: the result envelope (schema minergy.job_result.v1)
+// dropped into results/<id>.json. The parent judges the envelope; the
+// worker's exit code only distinguishes "envelope written" (0) from "died
+// before writing one".
 //
 // Deadlines: job.deadline_seconds (and job.max_evaluations) become the
-// optimizer's util::WatchdogBudget, so a job that cannot finish in time
-// returns its best-seen state flagged truncated — and that truncated result
-// still passes through opt::Certifier like any other.
+// solve's util::WatchdogBudget — the anneal's baseline warm start included —
+// so a job that cannot finish in time returns its best-seen state flagged
+// truncated, and that truncated result still passes through opt::Certifier
+// like any other.
 //
 // Checkpoints: annealing and joint runs snapshot into checkpoints/<id>.json
 // (PR-3 formats, atomic write-rename). When the file already exists the run
@@ -23,6 +26,7 @@
 #include <string>
 
 #include "serve/job.h"
+#include "util/cli.h"
 
 namespace minergy::serve {
 
@@ -48,6 +52,13 @@ int run_worker_job(const Job& job, std::uint64_t attempt_seed,
                    const std::string& checkpoint_path,
                    int brownout_level = 0,
                    const std::string& lease_path = std::string());
+
+// The `--worker` mode of every binary the supervisor execs: reads
+// running/<--job-id> from --spool and runs it with --attempt-seed (parsed
+// exactly as an unsigned integer), --brownout-level, --lease-path and
+// --threads. Returns run_worker_job's exit code, or 2 for bad arguments or
+// an unreadable job record.
+int run_worker_mode(const util::Cli& cli);
 
 // The exit code a fenced worker returns instead of writing an envelope.
 inline constexpr int kWorkerFencedExit = 75;

@@ -19,8 +19,10 @@
 #include "serve/job.h"
 #include "serve/queue.h"
 #include "serve/supervisor.h"
+#include "serve/worker.h"
 #include "util/check.h"
 #include "util/checkpoint.h"
+#include "util/cli.h"
 #include "util/json.h"
 
 namespace minergy::serve {
@@ -154,6 +156,74 @@ TEST(ServeJob, AttemptSeedScheduleIsDeterministicAndPerturbed) {
   Job other = job;
   other.circuit = "s298*";
   EXPECT_NE(attempt_seed(other, 1), r1);  // circuit-dependent
+}
+
+// Runs the binaries' `--worker` mode in-process on the claimed job `id` and
+// returns its result envelope.
+util::JsonValue run_worker_cli(const SpoolQueue& q, const std::string& id,
+                               const std::string& attempt_seed_flag) {
+  const std::string spool_flag = "--spool=" + q.root();
+  const std::string id_flag = "--job-id=" + id;
+  const char* argv[] = {"worker", "--worker", spool_flag.c_str(),
+                        id_flag.c_str(), attempt_seed_flag.c_str(),
+                        "--threads=1"};
+  const util::Cli cli(6, argv);
+  EXPECT_EQ(run_worker_mode(cli), 0);
+  return read_record(q.result_path(id));
+}
+
+TEST(ServeJob, RetrySeedsRoundTripExactlyThroughJsonAndWorkerArgv) {
+  ScratchSpool spool("seed_round_trip");
+  SpoolQueue q(spool.root);
+  Job job;
+  job.circuit = "s27";
+  job.optimizer = "baseline";
+  job.seed = 1;
+  const std::string id = q.submit(job);
+  ASSERT_TRUE(q.claim(unix_now()).has_value());
+  for (int k = 1; k <= 20; ++k) {
+    const std::uint64_t seed = attempt_seed(job, k);
+    // JSON numbers are doubles: only a seed below 2^53 survives them.
+    ASSERT_LT(seed, std::uint64_t{1} << 53) << "retry " << k;
+    Job journaled = job;
+    journaled.id = id;
+    journaled.seed = seed;
+    JobAttempt attempt;
+    attempt.seed = seed;
+    journaled.attempts.push_back(attempt);
+    const Job back = Job::from_json(journaled.to_json(), "<seed>");
+    EXPECT_EQ(back.seed, seed) << "retry " << k;
+    EXPECT_EQ(back.attempts.at(0).seed, seed) << "retry " << k;
+    // The worker runs (and reports) the seed the supervisor passed it.
+    const util::JsonValue env =
+        run_worker_cli(q, id, "--attempt-seed=" + std::to_string(seed));
+    EXPECT_EQ(static_cast<std::uint64_t>(env.get_number("seed", -1.0)), seed)
+        << "retry " << k;
+  }
+}
+
+// Deadline propagation covers the whole solve: an anneal job's evaluation
+// cap also bounds its baseline warm start, not only the anneal.
+TEST(ServeWorker, AnnealJobBudgetAlsoBoundsTheWarmStart) {
+  obs::set_enabled(true);
+  ScratchSpool spool("anneal_budget");
+  SpoolQueue q(spool.root);
+  Job job;
+  job.circuit = "s27";
+  job.optimizer = "anneal";
+  job.max_evaluations = 3;
+  const std::string id = q.submit(job);
+  ASSERT_TRUE(q.claim(unix_now()).has_value());
+  obs::Counter& probes = obs::counter("opt.baseline.probes");
+  const std::int64_t before = probes.value();
+  const util::JsonValue env = run_worker_cli(q, id, "--attempt-seed=1");
+  // Unbudgeted, the s27 warm start alone takes 28 probes. Budgeted, it
+  // stops at the cap, plus the one probe past it that the baseline always
+  // spends to hold a feasible state.
+  EXPECT_LE(probes.value() - before, job.max_evaluations + 1);
+  EXPECT_TRUE(env.get_bool("ok", false));
+  EXPECT_TRUE(env.get_bool("truncated", false));
+  EXPECT_LE(env.get_number("circuit_evaluations", 1e9), 3.0);
 }
 
 TEST(ServeJob, IdsAreUniqueAndSortInSubmissionOrder) {

@@ -18,6 +18,8 @@
 #include <csignal>
 #include <fcntl.h>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <set>
 #include <string>
@@ -32,6 +34,9 @@
 
 #ifndef MINERGY_SERVED_BIN
 #error "MINERGY_SERVED_BIN must point at the minergy_served executable"
+#endif
+#ifndef MINERGY_BATCH_BIN
+#error "MINERGY_BATCH_BIN must point at the minergy_batch executable"
 #endif
 
 namespace minergy::serve {
@@ -52,9 +57,9 @@ void sleep_seconds(double s) {
   std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-// fork+exec minergy_served with the given flags, stdout/stderr silenced.
-pid_t spawn_served(const std::vector<std::string>& flags) {
-  std::vector<std::string> args = {MINERGY_SERVED_BIN};
+// fork+exec `binary` with the given flags, stdout/stderr silenced.
+pid_t spawn(const std::string& binary, const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {binary};
   args.insert(args.end(), flags.begin(), flags.end());
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -72,6 +77,10 @@ pid_t spawn_served(const std::vector<std::string>& flags) {
     _exit(127);
   }
   return pid;
+}
+
+pid_t spawn_served(const std::vector<std::string>& flags) {
+  return spawn(MINERGY_SERVED_BIN, flags);
 }
 
 // Waits for `pid` with a wall-clock cap; SIGKILLs on timeout. Returns the
@@ -361,6 +370,72 @@ TEST(ServeChaos, DrainedAnnealResumesBitExactlyAfterRestart) {
   }
   EXPECT_TRUE(ra.at("result").get_bool("certified", false));
   EXPECT_TRUE(rb.at("result").get_bool("certified", false));
+}
+
+// ------------------------------------------------------------ batch runner
+
+// Pids of live processes whose command line names `needle` (zombies have an
+// empty command line and never match).
+std::vector<pid_t> processes_naming(const std::string& needle) {
+  std::vector<pid_t> out;
+  for (const fs::directory_entry& e : fs::directory_iterator("/proc")) {
+    const std::string name = e.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream in(e.path() / "cmdline", std::ios::binary);
+    std::string cmdline((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    std::replace(cmdline.begin(), cmdline.end(), '\0', ' ');
+    if (cmdline.find(needle) != std::string::npos) {
+      out.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return out;
+}
+
+// minergy_batch runs on the same supervisor: SIGTERM while a worker hangs
+// kills and reaps that worker, flushes a report whose unfinished jobs are
+// all "interrupted", and exits 3; the verifier accepts that report only
+// with --allow-interrupted.
+TEST(BatchChaos, SigtermMidRunFlushesAnInterruptedReportAndExits3) {
+  ScratchSpool dir("batch_sigterm");
+  fs::create_directories(dir.root);
+  const std::string report = dir.root + "/batch.json";
+  const std::string worker_tag = "--spool=" + report + ".spool";
+  const pid_t batch =
+      spawn(MINERGY_BATCH_BIN, {"--circuits=s27,c17", "--inject-hang=s27",
+                                "--timeout=120", "--report=" + report});
+  bool worker_seen = false;
+  for (int i = 0; i < 3000 && !worker_seen; ++i) {
+    worker_seen = !processes_naming(worker_tag).empty();
+    if (!worker_seen) sleep_seconds(0.01);
+  }
+  ASSERT_TRUE(worker_seen) << "the hung worker never started";
+  kill(batch, SIGTERM);
+  bool timed_out = false;
+  const int status = wait_exit(batch, 60.0, &timed_out);
+  ASSERT_FALSE(timed_out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 3);
+  EXPECT_TRUE(processes_naming(worker_tag).empty()) << "worker left behind";
+
+  const util::JsonValue root = util::JsonValue::parse(
+      io::read_artifact(report, "minergy.batch_report.v1"), report);
+  EXPECT_TRUE(root.get_bool("interrupted", false));
+  const auto& circuits = root.at("circuits").items();
+  ASSERT_EQ(circuits.size(), 2u);
+  for (const util::JsonValue& c : circuits) {
+    EXPECT_EQ(c.get_string("status", ""), "interrupted");
+  }
+  EXPECT_EQ(circuits[0].at("attempts").items().at(0).get_string("outcome", ""),
+            "interrupted");
+
+  const auto verify = [&report](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), "--verify-report=" + report);
+    return wait_exit(spawn(MINERGY_BATCH_BIN, extra), 60.0);
+  };
+  const int strict = verify({});
+  EXPECT_TRUE(WIFEXITED(strict) && WEXITSTATUS(strict) == 1);
+  const int lenient = verify({"--allow-interrupted"});
+  EXPECT_TRUE(WIFEXITED(lenient) && WEXITSTATUS(lenient) == 0);
 }
 
 // ------------------------------------------------------------ health file

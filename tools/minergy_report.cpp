@@ -32,22 +32,15 @@
 #include <fstream>
 #include <string>
 
-#include "activity/activity.h"
-#include "bench_suite/experiment.h"
 #include "bench_suite/iscas.h"
+#include "bench_suite/solve.h"
 #include "io/durable.h"
 #include "io/envelope.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "opt/annealing_optimizer.h"
-#include "opt/baseline_optimizer.h"
-#include "opt/certifier.h"
 #include "opt/eval_cache.h"
-#include "opt/evaluator.h"
-#include "opt/joint_optimizer.h"
-#include "opt/robust_optimizer.h"
 #include "util/cli.h"
 #include "util/thread_pool.h"
 #include "util/strings.h"
@@ -94,67 +87,28 @@ int main(int argc, char** argv) try {
     nl = bench_suite::make_circuit(cli.get("builtin", std::string("c17")));
   }
 
-  bench_suite::ExperimentConfig cfg;
-  cfg.clock_frequency = cli.get("fc", 300e6);
-  bool tc_scaled = false;
-  const double tc = bench_suite::choose_cycle_time(nl, cfg, &tc_scaled);
-
-  opt::EvalSettings settings;
-  settings.clock_frequency = 1.0 / tc;
-  activity::ActivityProfile profile;
-  profile.input_density = cli.get("activity", 0.3);
-  const opt::CircuitEvaluator eval(nl, cfg.tech, profile, settings);
-
-  opt::OptimizerOptions opts;
-  opts.num_thresholds = cli.get("thresholds", 1);
-  opts.budget = budget_from(cli);
-  opts.checkpoint_path = cli.get("checkpoint", std::string());
-  opts.resume_path = cli.get("resume", std::string());
-
-  const std::string kind = cli.get("optimizer", std::string("joint"));
-  opt::OptimizationResult result;
-  double skew_b = opts.skew_b;
-  if (kind == "joint") {
-    result = opt::JointOptimizer(eval, opts).run();
-  } else if (kind == "baseline") {
-    result = opt::BaselineOptimizer(eval, opts).run();
-  } else if (kind == "robust") {
-    opt::RobustOptions ropts;
-    ropts.joint = opts;
-    ropts.baseline = opts;
-    result = opt::RobustOptimizer(eval, ropts).run();
-  } else if (kind == "anneal") {
-    opt::AnnealingOptions aopts;
-    aopts.budget = opts.budget;
-    aopts.seed = static_cast<std::uint64_t>(cli.get("seed", 1234.0));
-    aopts.checkpoint_path = opts.checkpoint_path;
-    aopts.resume_path = opts.resume_path;
-    skew_b = aopts.skew_b;
-    // Warm-start from the baseline solution (the annealer's recommended
-    // seeding): a cold start at an arbitrary mid-range corner can sit in a
-    // non-physical region where the finite-checks reject the first STA.
-    const opt::OptimizationResult warm =
-        opt::BaselineOptimizer(eval, opts).run();
-    result = opt::AnnealingOptimizer(eval, aopts)
-                 .run(warm.feasible ? warm.state : opt::CircuitState{});
-  } else {
-    std::fprintf(stderr,
-                 "error: unknown --optimizer=%s "
-                 "(joint | baseline | robust | anneal)\n",
-                 kind.c_str());
-    return 2;
-  }
+  bench_suite::SolveSpec spec;
+  spec.kind = cli.get("optimizer", std::string("joint"));
+  spec.clock_frequency = cli.get("fc", 300e6);
+  spec.activity = cli.get("activity", 0.3);
+  spec.num_thresholds = cli.get("thresholds", 1);
+  spec.budget = budget_from(cli);
+  spec.seed = static_cast<std::uint64_t>(cli.get("seed", 1234.0));
+  spec.checkpoint_path = cli.get("checkpoint", std::string());
+  spec.resume_path = cli.get("resume", std::string());
+  const bench_suite::Solved solved = bench_suite::solve(nl, spec);
+  const opt::OptimizationResult& result = solved.result;
 
   std::printf(
       "%s  %s  %s%s\n  Vdd %.3f V, Vts %.3f V, E %.4g J/cycle "
       "(static %.3g, dynamic %.3g), crit %.3f ns, Tc %.3f ns%s\n  %d circuit "
       "evaluations in %.2f s%s\n",
-      nl.name().c_str(), kind.c_str(),
+      nl.name().c_str(), spec.kind.c_str(),
       result.feasible ? "feasible" : "INFEASIBLE",
       result.truncated ? " (truncated)" : "", result.vdd, result.vts_primary,
       result.energy.total(), result.energy.static_energy,
-      result.energy.dynamic_energy, result.critical_delay * 1e9, tc * 1e9,
-      tc_scaled ? " (Tc scaled)" : "", result.circuit_evaluations,
+      result.energy.dynamic_energy, result.critical_delay * 1e9,
+      solved.cycle_time * 1e9, solved.tc_scaled ? " (Tc scaled)" : "", result.circuit_evaluations,
       result.runtime_seconds,
       result.report.trajectory.empty()
           ? ""
@@ -167,11 +121,8 @@ int main(int argc, char** argv) try {
 
   bool certified = true;
   if (cli.has("certify")) {
-    opt::CertifyOptions copts;
-    copts.skew_b = skew_b;
-    const opt::Certificate cert = opt::Certifier(eval, copts).certify(result);
-    certified = cert.certified;
-    std::printf("  certificate: %s\n", cert.summary().c_str());
+    certified = solved.certificate.certified;
+    std::printf("  certificate: %s\n", solved.certificate.summary().c_str());
   }
 
   if (!report_path.empty()) {
